@@ -279,7 +279,8 @@ var skipDirs = map[string]bool{
 }
 
 // parseModule parses every non-test .go file under root, grouped by
-// directory.
+// directory. A subdirectory with its own go.mod is a nested module, not
+// a package of this one, so the walk skips it.
 func parseModule(root string) (map[string]*pkgInfo, *token.FileSet, error) {
 	fset := token.NewFileSet()
 	pkgs := map[string]*pkgInfo{}
@@ -288,7 +289,13 @@ func parseModule(root string) (map[string]*pkgInfo, *token.FileSet, error) {
 			return err
 		}
 		if d.IsDir() {
-			if skipDirs[d.Name()] || strings.HasPrefix(d.Name(), ".") && path != root {
+			if path == root {
+				return nil
+			}
+			if skipDirs[d.Name()] || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,40 @@ func TestDirFilter(t *testing.T) {
 		if got := newDirFilter(c.dirs).match(c.rel); got != c.want {
 			t.Errorf("filter(%v).match(%q) = %v, want %v", c.dirs, c.rel, got, c.want)
 		}
+	}
+}
+
+// TestParseModuleSkipsNestedModules pins the module boundary: a
+// subdirectory with its own go.mod belongs to another module, so the
+// walk must not parse it as a package of this one.
+func TestParseModuleSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod":             "module outer\n",
+		"inner/a.go":         "package inner\n",
+		"nested/go.mod":      "module outer/nested\n",
+		"nested/b.go":        "package nested\n",
+		"nested/deep/c.go":   "package deep\n",
+		"inner/notmod/go.go": "package notmod\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, _, err := parseModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for dir := range pkgs {
+		got = append(got, dir)
+	}
+	slices.Sort(got)
+	if want := []string{"inner", "inner/notmod"}; !slices.Equal(got, want) {
+		t.Errorf("parsed packages = %q, want %q", got, want)
 	}
 }

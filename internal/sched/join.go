@@ -112,21 +112,6 @@ func (w *Worker) Join(fa, fb func(w *Worker)) {
 	f.state.Store(framePending)
 	w.Spawn(&f.task)
 	faPanic := capture(fa, w)
-	w.waitFrame(f)
-	fbPanic := f.tp.Load()
-	w.releaseFrame(f)
-	if faPanic != nil {
-		panic(faPanic)
-	}
-	if fbPanic != nil {
-		panic(fbPanic)
-	}
-}
-
-// waitFrame is Join's help-first waiting discipline, shared with the
-// allocation-free ForBody split (forbody.go): run pool work until f's
-// branch has completed.
-func (w *Worker) waitFrame(f *joinFrame) {
 	for f.state.Load() != frameDone {
 		// Fast path: the task we spawned is still at the bottom of our
 		// deque if the branch spawned and joined in strict stack order.
@@ -147,6 +132,14 @@ func (w *Worker) waitFrame(f *joinFrame) {
 			continue
 		}
 		runtime.Gosched()
+	}
+	fbPanic := f.tp.Load()
+	w.releaseFrame(f)
+	if faPanic != nil {
+		panic(faPanic)
+	}
+	if fbPanic != nil {
+		panic(fbPanic)
 	}
 }
 

@@ -70,9 +70,9 @@ type Worker struct {
 	scratch any
 
 	// forFrame cache: forFrames[d] is the reusable split frame for a
-	// lazily split ForBody at nesting depth d on this worker (see
-	// forbody.go). Like join frames, splits nest in strict LIFO order,
-	// so reuse by depth is safe. Owner-only.
+	// lazy loop split at nesting depth d on this worker (see for.go).
+	// Like join frames, splits nest in strict LIFO order, so reuse by
+	// depth is safe. Owner-only.
 	forFrames []*forFrame
 	forDepth  int
 
