@@ -15,8 +15,9 @@ test: lint
 # committed artifacts, then the test suite. CI runs exactly this.
 check: build lint certify races lifetimes test
 
-# Source-level fear checker: static census + containment + race
-# heuristics (docs/LINT.md). Shared by CI.
+# Source-level fear checker: static census + containment + worker
+# escape (docs/LINT.md); shared writes are the races target's job.
+# Shared by CI.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rpblint ./...

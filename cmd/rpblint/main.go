@@ -1,13 +1,14 @@
 // Command rpblint is the suite's source-level fear checker: it
 // re-derives the pattern census from source, cross-checks it against
-// the DeclareSite registry, audits scared-construct containment, and
-// runs race and lifetime heuristics over parallel bodies. See
-// docs/LINT.md.
+// the DeclareSite registry, audits scared-construct containment and
+// flags workers escaping into raw goroutines; its three certification
+// passes prove offset provenance, parallel-write exclusivity and
+// arena-checkout confinement. See docs/LINT.md.
 //
 // Usage:
 //
 //	rpblint [-root dir] [-json] [-census] [packages...]
-//	rpblint -certify [-write-certify] [-certify-file file] [packages...]
+//	rpblint -certify [-write-certs] [-certs file] [packages...]
 //	rpblint -races [-write-races] [-races-file file] [packages...]
 //	rpblint -lifetimes [-write-lifetimes] [-lifetimes-file file] [packages...]
 //
@@ -214,27 +215,18 @@ func certsPath(root, certs string) string {
 
 // findRoot walks up from the working directory to the nearest go.mod.
 func findRoot() (string, error) {
-	dir, err := os.Getwd()
+	wd, err := os.Getwd()
 	if err != nil {
 		return "", err
 	}
-	for {
-		if _, err := os.Stat(dir + "/go.mod"); err == nil {
+	for dir := wd; ; {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 			return dir, nil
 		}
-		parent := dir[:max(0, lastSlash(dir))]
-		if parent == "" || parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod found above %s", wd)
 		}
 		dir = parent
 	}
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' || s[i] == '\\' {
-			return i
-		}
-	}
-	return -1
 }

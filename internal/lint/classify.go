@@ -157,8 +157,8 @@ var coreCalls = map[string]coreCall{
 }
 
 // parallelBodyArg gives, for primitives that take a per-task closure,
-// the argument index of that closure. These are the "Fearless
-// primitive body" positions the race heuristics inspect.
+// the argument index of that closure: the positions the provenance
+// prover treats as parallel loop bodies.
 var parallelBodyArg = map[string][]int{
 	"ForRange":            {4},
 	"ForEachIdx":          {3},

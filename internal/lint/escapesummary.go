@@ -30,9 +30,6 @@ import (
 	"go/types"
 )
 
-// escRecv is the parameter index standing for the method receiver.
-const escRecv = -1
-
 // refCarrying reports whether values of a type can carry a reference
 // to checkout memory.
 func refCarrying(t types.Type) bool {
@@ -57,7 +54,7 @@ type escParam struct {
 	why     string
 }
 
-// escEffect is the summary for one function: parameter index (escRecv
+// escEffect is the summary for one function: parameter index (recvIdx
 // for the receiver) to its escape fate. Missing entries retain
 // nothing.
 type escEffect struct {
@@ -96,54 +93,20 @@ func (lp *lifePass) isSubstrate(fn *types.Func) bool {
 // escapeOf returns the memoized escape summary for an in-module
 // function, computing it on first use.
 func (lp *lifePass) escapeOf(fn *types.Func) *escEffect {
-	if eff, ok := lp.escapes[fn]; ok {
+	// A back edge answers nil: optimistic, no retention proven yet.
+	return lp.escapes.get(fn, nil, func() *escEffect {
+		eff := &escEffect{}
+		if d := lp.loader.declOf(fn); d != nil && d.fd.Body != nil {
+			lp.summarize(d, eff)
+		}
 		return eff
-	}
-	if lp.inEsc[fn] {
-		return nil // cycle: optimistic (no retention proven yet)
-	}
-	lp.inEsc[fn] = true
-	defer delete(lp.inEsc, fn)
-
-	eff := &escEffect{}
-	d := lp.declOf(fn)
-	if d == nil || d.fd.Body == nil {
-		lp.escapes[fn] = eff
-		return eff
-	}
-	lp.summarize(d, eff)
-	lp.escapes[fn] = eff
-	return eff
+	})
 }
 
 // summarize walks one declaration and fills its escape effect.
-func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
+func (lp *lifePass) summarize(d *fnDecl, eff *escEffect) {
 	tp, fd := d.tp, d.fd
-
-	// Parameter objects, by index; receiver at escRecv.
-	paramIdx := map[types.Object]int{}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, n := range f.Names {
-				if o := tp.info.Defs[n]; o != nil {
-					paramIdx[o] = escRecv
-				}
-			}
-		}
-	}
-	i := 0
-	for _, f := range fd.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++
-			continue
-		}
-		for _, n := range f.Names {
-			if o := tp.info.Defs[n]; o != nil {
-				paramIdx[o] = i
-			}
-			i++
-		}
-	}
+	paramIdx := tp.paramIndex(fd.Recv, fd.Type.Params)
 
 	// aliasOf: local objects that alias a parameter's memory (direct
 	// assignment, reslice, or &param.field), mapping to the parameter
@@ -291,7 +254,7 @@ func (lp *lifePass) summarize(d *effDecl, eff *escEffect) {
 
 // summarizeCall propagates escape effects through a call inside a
 // summarized function.
-func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr,
+func (lp *lifePass) summarizeCall(d *fnDecl, eff *escEffect, call *ast.CallExpr,
 	rootParam func(ast.Expr) (int, bool)) {
 	tp := d.tp
 
@@ -308,7 +271,7 @@ func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr
 		}
 	}
 
-	fn, delegated := calleeOfTyped(tp, call)
+	fn, _, delegated := tp.calleeOf(call, nil)
 	switch {
 	case fn != nil && lp.isSubstrate(fn):
 		return
@@ -320,7 +283,7 @@ func (lp *lifePass) summarizeCall(d *effDecl, eff *escEffect, call *ast.CallExpr
 		sig, _ := fn.Type().(*types.Signature)
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if pi, isParam := rootParam(sel.X); isParam {
-				if ep := sub.param(escRecv); ep != nil && ep.retains {
+				if ep := sub.param(recvIdx); ep != nil && ep.retains {
 					eff.retain(pi, "via "+fn.Name()+": "+ep.why)
 				}
 			}

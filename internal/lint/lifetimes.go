@@ -139,11 +139,7 @@ func Lifetimes(cfg Config) (*LifeReport, error) {
 // lifetimes runs the pass over an already-built analysis.
 func (a *analysis) lifetimes() *LifeReport {
 	loader := newTypeLoader(a)
-	lp := &lifePass{
-		a: a, loader: loader,
-		escapes: map[*types.Func]*escEffect{},
-		inEsc:   map[*types.Func]bool{},
-	}
+	lp := &lifePass{a: a, loader: loader}
 	lp.prescanBoxes()
 	rep := &LifeReport{Version: 1, Module: a.mod}
 
@@ -246,10 +242,7 @@ type lifePass struct {
 	a      *analysis
 	loader *typeLoader
 
-	escapes map[*types.Func]*escEffect
-	inEsc   map[*types.Func]bool
-	declIdx map[*types.Func]*effDecl
-	idxDone map[string]bool
+	escapes memo[*types.Func, *escEffect]
 
 	// boxTypes are the named types instantiated in arena.AcquireBox[T]
 	// anywhere in the module, keyed by type name: per-worker reusable
@@ -260,42 +253,6 @@ type lifePass struct {
 	// stored into a box field of a *parameter* is worker-confined only
 	// when the field is provably cleared before the box is reused.
 	boxCleared map[string]bool
-}
-
-// declOf finds the FuncDecl for an in-module *types.Func, indexing each
-// package's declarations on first use (the raceeffect.go pattern).
-func (lp *lifePass) declOf(fn *types.Func) *effDecl {
-	if lp.declIdx == nil {
-		lp.declIdx = map[*types.Func]*effDecl{}
-		lp.idxDone = map[string]bool{}
-	}
-	if d, ok := lp.declIdx[fn]; ok {
-		return d
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	rel, ok := lp.a.modRel(fn.Pkg().Path())
-	if !ok {
-		return nil
-	}
-	if !lp.idxDone[rel] {
-		lp.idxDone[rel] = true
-		if tp := lp.loader.check(rel); tp != nil {
-			for _, f := range tp.pkg.files {
-				for _, decl := range f.ast.Decls {
-					fd, isFn := decl.(*ast.FuncDecl)
-					if !isFn {
-						continue
-					}
-					if tf, isTF := tp.info.Defs[fd.Name].(*types.Func); isTF {
-						lp.declIdx[tf] = &effDecl{tp: tp, f: f, fd: fd}
-					}
-				}
-			}
-		}
-	}
-	return lp.declIdx[fn]
 }
 
 // prescanBoxes walks the whole module once, collecting the AcquireBox

@@ -27,16 +27,16 @@
 //     irregular site declaration or an explicit "//lint:scared <reason>"
 //     marker — the Go analog of an audited unsafe block. Unchecked
 //     primitives are forbidden outright in examples/.
-//  4. Race heuristics. Closures passed to Fearless primitives that
-//     write a captured slice at an index unrelated to the task index,
-//     writes to captured shared variables without atomics, and *Worker
-//     values escaping into raw goroutines are all flagged.
+//  4. Worker escape. A *Worker value referenced inside a raw go
+//     statement is flagged. Shared writes inside parallel regions are
+//     not checked here: the typed races pass (races.go) refuses every
+//     write it cannot prove exclusive.
 //
-// The package is stdlib-only (go/ast, go/parser, go/token): no type
-// checker, no module loader. Resolution is syntactic — import aliases
-// are honored, method calls resolve by name across imported in-module
-// packages — which is exactly as strong as the repo's disciplined style
-// needs and keeps the checker dependency-free.
+// These four rules resolve syntactically — import aliases are honored,
+// method calls resolve by name across imported in-module packages.
+// The three certification passes (certify.go, races.go, lifetimes.go)
+// type-check the module with go/types and share one interprocedural
+// core (summarycore.go). The package is stdlib-only.
 package lint
 
 import (
@@ -62,14 +62,14 @@ const (
 	// scared code the substrate contains) but not linted.
 	RoleSubstrate Role = "substrate"
 	// RoleBench packages declare census sites and are fully checked:
-	// census cross-checks, containment, and race heuristics.
+	// census cross-checks, containment, and worker escape.
 	RoleBench Role = "bench"
 	// RoleKernel packages (suffix, geom, graph, ...) hold algorithm
-	// kernels benches delegate to: race heuristics apply, and their
+	// kernels benches delegate to: worker escape applies, and their
 	// constructs serve as evidence for the benches that call them.
 	RoleKernel Role = "kernel"
 	// RoleExample packages are end-user documentation: unchecked
-	// primitives are forbidden outright, race heuristics apply.
+	// primitives are forbidden outright, worker escape applies.
 	RoleExample Role = "example"
 )
 

@@ -225,14 +225,14 @@ func (p *prover) seqFill(fs *ast.ForStmt) *fillShape {
 	if !ok || cond.Op != token.LSS {
 		return nil
 	}
-	if cid, isID := unparen(cond.X).(*ast.Ident); !isID || p.objOf(cid) != obj {
+	if cid, isID := unparen(cond.X).(*ast.Ident); !isID || p.tp.objOf(cid) != obj {
 		return nil
 	}
 	post, ok := fs.Post.(*ast.IncDecStmt)
 	if !ok || post.Tok != token.INC {
 		return nil
 	}
-	if pid, isID := unparen(post.X).(*ast.Ident); !isID || p.objOf(pid) != obj {
+	if pid, isID := unparen(post.X).(*ast.Ident); !isID || p.tp.objOf(pid) != obj {
 		return nil
 	}
 	return &fillShape{loopVar: obj, lo: init.Rhs[0], hi: cond.Y}
@@ -334,13 +334,6 @@ func newProver(a *analysis, tp *typedPkg, f *fileInfo, fd *ast.FuncDecl, loader 
 	return p
 }
 
-func (p *prover) objOf(id *ast.Ident) types.Object {
-	if o := p.tp.info.Uses[id]; o != nil {
-		return o
-	}
-	return p.tp.info.Defs[id]
-}
-
 func (p *prover) pos(pos token.Pos) token.Position { return p.a.fset.Position(pos) }
 func (p *prover) line(pos token.Pos) int           { return p.pos(pos).Line }
 
@@ -393,7 +386,7 @@ func (p *prover) collect() {
 		if !ok {
 			return
 		}
-		obj := p.objOf(id)
+		obj := p.tp.objOf(id)
 		if obj == nil {
 			return
 		}
@@ -674,7 +667,7 @@ func (p *prover) builtinName(call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if b, isB := p.objOf(id).(*types.Builtin); isB {
+	if b, isB := p.tp.objOf(id).(*types.Builtin); isB {
 		return b.Name(), true
 	}
 	return "", false
@@ -695,7 +688,7 @@ func (p *prover) scanResultObj(call *ast.CallExpr, path []ast.Node) types.Object
 		if !ok {
 			return nil
 		}
-		return p.objOf(id)
+		return p.tp.objOf(id)
 	}
 	return nil
 }
@@ -725,7 +718,7 @@ func (p *prover) canon(e ast.Expr) ast.Expr {
 			}
 			if name, ok := p.builtinName(v); ok && name == "len" && len(v.Args) == 1 {
 				if id, isID := unparen(v.Args[0]).(*ast.Ident); isID {
-					if L := p.makeLen(p.objOf(id)); L != nil {
+					if L := p.makeLen(p.tp.objOf(id)); L != nil {
 						e = L
 						continue
 					}
@@ -845,7 +838,7 @@ func (p *prover) exprEq(x, y ast.Expr) bool {
 		if !ok {
 			return false
 		}
-		ox, oy := p.objOf(xv), p.objOf(yv)
+		ox, oy := p.tp.objOf(xv), p.tp.objOf(yv)
 		return ox != nil && ox == oy && p.stableObj(ox)
 	case *ast.BinaryExpr:
 		yv, ok := y.(*ast.BinaryExpr)
@@ -882,7 +875,7 @@ func (p *prover) parseAffine(e ast.Expr, loopVar types.Object) (affineForm, bool
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		if p.objOf(v) == loopVar {
+		if p.tp.objOf(v) == loopVar {
 			return affineForm{a: 1, c: 0, hasVar: true}, true
 		}
 	case *ast.BinaryExpr:
@@ -916,7 +909,7 @@ func (p *prover) parseReverse(e ast.Expr, loopVar types.Object, bound ast.Expr) 
 		return false
 	}
 	id, ok := unparen(be.Y).(*ast.Ident)
-	if !ok || p.objOf(id) != loopVar {
+	if !ok || p.tp.objOf(id) != loopVar {
 		return false
 	}
 	lhs, ok := p.canon(be.X).(*ast.BinaryExpr)
@@ -1060,14 +1053,14 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		obj := p.objOf(v)
+		obj := p.tp.objOf(v)
 		return obj != nil && p.nn[obj]
 	case *ast.IndexExpr:
 		id, ok := unparen(v.X).(*ast.Ident)
 		if !ok {
 			return false
 		}
-		obj := p.objOf(id)
+		obj := p.tp.objOf(id)
 		return obj != nil && p.nn[obj]
 	case *ast.BinaryExpr:
 		switch v.Op {
@@ -1089,7 +1082,7 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 				arg = unparen(se.X)
 			}
 			if id, isID := arg.(*ast.Ident); isID {
-				obj := p.objOf(id)
+				obj := p.tp.objOf(id)
 				return obj != nil && p.nn[obj]
 			}
 			return false
@@ -1100,7 +1093,7 @@ func (p *prover) nnExpr(e ast.Expr) bool {
 		// `sizes[i] = encRowSize(...)` stay monotone without inlining
 		// the size computation.
 		if p.loader != nil {
-			if fn := p.calleeFunc(v); fn != nil && p.loader.nnSummaryFor(fn) {
+			if fn, _, _ := p.tp.calleeOf(v, nil); fn != nil && p.loader.nnSummaryFor(fn) {
 				return true
 			}
 		}
@@ -1158,7 +1151,7 @@ func (p *prover) denotEq(a, b lenDenot) bool {
 	if call, ok := p.canon(e).(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if nm, isB := p.builtinName(call); isB && nm == "len" {
 			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				return p.objOf(id) == o && p.stableObj(o)
+				return p.tp.objOf(id) == o && p.stableObj(o)
 			}
 		}
 	}
@@ -1236,7 +1229,7 @@ func (k *siteSink) matchTotal(p *prover, total types.Object) (bool, string) {
 		return false, why
 	}
 	if outLen.expr != nil {
-		if id, isID := p.canon(outLen.expr).(*ast.Ident); isID && p.objOf(id) == total {
+		if id, isID := p.canon(outLen.expr).(*ast.Ident); isID && p.tp.objOf(id) == total {
 			return true, ""
 		}
 	}
@@ -1328,7 +1321,7 @@ func (p *prover) prove(s *targetSite) siteProof {
 // builder (which proves a helper's returned slice at its return
 // statement).
 func (p *prover) proveVar(pt *provePoint, offID *ast.Ident) siteProof {
-	obj := p.objOf(offID)
+	obj := p.tp.objOf(offID)
 	if obj == nil {
 		return refusal("offsets variable does not resolve (type information incomplete)")
 	}
@@ -1470,7 +1463,7 @@ func (p *prover) checkIdentityFill(name string, obj types.Object, writes []*use)
 		return
 	}
 	idxID, ok := p.canon(w.index).(*ast.Ident)
-	if !ok || p.objOf(idxID) != fill.loopVar {
+	if !ok || p.tp.objOf(idxID) != fill.loopVar {
 		sp = refusal("the fill index into %q is not the loop variable", name)
 		return
 	}
@@ -1481,7 +1474,7 @@ func (p *prover) checkIdentityFill(name string, obj types.Object, writes []*use)
 	trackedLen := lenDenot{lenOf: obj}
 	if fill.rangeOver != nil {
 		ro, isID := unparen(fill.rangeOver).(*ast.Ident)
-		if !isID || p.objOf(ro) != obj {
+		if !isID || p.tp.objOf(ro) != obj {
 			sp = refusal("the fill ranges over a slice other than %q", name)
 			return
 		}
@@ -1719,7 +1712,7 @@ func (p *prover) outDenot(s *targetSite) (lenDenot, string) {
 	if !ok {
 		return lenDenot{}, "target slice is not a simple variable; its length cannot be tracked"
 	}
-	obj := p.objOf(id)
+	obj := p.tp.objOf(id)
 	if obj == nil {
 		return lenDenot{}, "target slice does not resolve (type information incomplete)"
 	}

@@ -117,7 +117,7 @@ func (rc *regionCheck) collectFuncBinds() {
 		if !ok {
 			return
 		}
-		obj := rc.objOf(id)
+		obj := rc.tp.objOf(id)
 		if obj == nil {
 			return
 		}
@@ -156,8 +156,8 @@ func (rc *regionCheck) collectFuncBinds() {
 
 // boundCallee resolves a func-typed local bound exactly once in the
 // enclosing function to a method value or named function.
-func (rc *regionCheck) boundCallee(obj types.Object) (*types.Func, ast.Expr) {
-	binds := rc.funcBinds[obj]
+func (rc *regionCheck) boundCallee(v *types.Var) (*types.Func, ast.Expr) {
+	binds := rc.funcBinds[v]
 	if len(binds) != 1 {
 		return nil, nil
 	}
@@ -193,7 +193,7 @@ func (rc *regionCheck) collectFacts() {
 		case *ast.UnaryExpr:
 			if v.Op == token.AND {
 				if id, ok := unparen(v.X).(*ast.Ident); ok {
-					fact(rc.objOf(id)).addrTaken = true
+					fact(rc.tp.objOf(id)).addrTaken = true
 				}
 			}
 		case *ast.AssignStmt:
@@ -225,7 +225,7 @@ func (rc *regionCheck) collectFacts() {
 				for _, lhs := range v.Lhs {
 					switch t := unparen(lhs).(type) {
 					case *ast.Ident:
-						if obj := rc.objOf(t); obj != nil {
+						if obj := rc.tp.objOf(t); obj != nil {
 							fx := fact(obj)
 							fx.assigns++
 							if rc.isShrinkAssign(v, t) {
@@ -243,7 +243,7 @@ func (rc *regionCheck) collectFacts() {
 			}
 		case *ast.IncDecStmt:
 			if id, ok := unparen(v.X).(*ast.Ident); ok {
-				if obj := rc.objOf(id); obj != nil {
+				if obj := rc.tp.objOf(id); obj != nil {
 					fx := fact(obj)
 					fx.assigns++
 					fx.shrinkOnly = false
@@ -298,7 +298,7 @@ func (rc *regionCheck) recordForLoop(v *ast.ForStmt, fact func(types.Object) *ra
 		return
 	}
 	condID, ok := unparen(cond.X).(*ast.Ident)
-	if !ok || rc.objOf(condID) != obj {
+	if !ok || rc.tp.objOf(condID) != obj {
 		return
 	}
 	switch cond.Op {
@@ -332,7 +332,7 @@ func (rc *regionCheck) isShrinkAssign(as *ast.AssignStmt, id *ast.Ident) bool {
 			return false
 		}
 		cid, ok := unparen(cond.X).(*ast.Ident)
-		if !ok || rc.objOf(cid) != rc.objOf(id) {
+		if !ok || rc.tp.objOf(cid) != rc.tp.objOf(id) {
 			return false
 		}
 		return exprEq(rc.tp, cond.Y, as.Rhs[0])
@@ -611,7 +611,7 @@ func (rc *regionCheck) classifyCall(call *ast.CallExpr) {
 		}
 	}
 
-	fn, boundRecv, delegated := rc.calleeOf(call)
+	fn, boundRecv, delegated := rc.tp.calleeOf(call, rc.boundCallee)
 	if delegated {
 		return // unresolvable func value or interface method: the callee owns its writes
 	}
@@ -654,7 +654,7 @@ func (rc *regionCheck) classifyBulkWrite(at ast.Node, dst ast.Expr, what string)
 		rc.refuse(at, types.ExprString(dst), "%s into unresolved destination %s", what, types.ExprString(dst))
 		return
 	}
-	obj := rc.objOf(base)
+	obj := rc.tp.objOf(base)
 	switch rc.memClass(obj, steps) {
 	case memHanded:
 		rc.site(RaceWorkerLocal, "handed chunk", at, types.ExprString(dst))
@@ -725,7 +725,7 @@ func (rc *regionCheck) classifyEffectCall(fn *types.Func, call *ast.CallExpr, bo
 				"passes %s to %s, which writes through its parameters", types.ExprString(arg.expr), fn.Name())
 			continue
 		}
-		obj := rc.objOf(base)
+		obj := rc.tp.objOf(base)
 		switch rc.memClass(obj, steps) {
 		case memHanded, memLocal, memCheckout:
 			continue
@@ -759,7 +759,7 @@ func (rc *regionCheck) joinDisjointSlice(arg ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	obj := rc.objOf(baseID)
+	obj := rc.tp.objOf(baseID)
 	if obj == nil {
 		return false
 	}
@@ -772,7 +772,7 @@ func (rc *regionCheck) joinDisjointSlice(arg ast.Expr) bool {
 			return false
 		}
 		id, isID := n.(*ast.Ident)
-		if !isID || rc.objOf(id) != obj {
+		if !isID || rc.tp.objOf(id) != obj {
 			return true
 		}
 		used = true
@@ -815,52 +815,6 @@ func slicesDisjoint(tp *typedPkg, a, b *ast.SliceExpr) bool {
 		return exprEq(tp, hi, lo)
 	}
 	return boundEq(a.High, b.Low) || boundEq(b.High, a.Low)
-}
-
-// calleeOf resolves a call to a declared function, or reports that the
-// call is delegated (func value / interface method). A func-typed
-// local bound exactly once to a method value resolves to the method,
-// with the bound receiver expression returned for classification —
-// binding the method first must not hide the receiver write.
-func (rc *regionCheck) calleeOf(call *ast.CallExpr) (fn *types.Func, boundRecv ast.Expr, delegated bool) {
-	fun := unparen(call.Fun)
-	switch v := fun.(type) {
-	case *ast.IndexExpr:
-		fun = v.X
-	case *ast.IndexListExpr:
-		fun = v.X
-	}
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		switch obj := rc.objOf(v).(type) {
-		case *types.Func:
-			return obj, nil, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				if bf, recv := rc.boundCallee(obj); bf != nil {
-					return bf, recv, false
-				}
-				return nil, nil, true
-			}
-		}
-	case *ast.SelectorExpr:
-		switch obj := rc.objOf(v.Sel).(type) {
-		case *types.Func:
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if types.IsInterface(sig.Recv().Type()) {
-					return nil, nil, true
-				}
-			}
-			return obj, nil, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return nil, nil, true // func-typed field or variable
-			}
-		}
-	case *ast.FuncLit:
-		return nil, nil, true // immediately-invoked literal: walked directly
-	}
-	return nil, nil, false
 }
 
 // ---------------------------------------------------------------------
@@ -906,10 +860,10 @@ func peelTarget(e ast.Expr) (*ast.Ident, []targetStep, bool) {
 type memKind int
 
 const (
-	memShared memKind = iota
-	memLocal          // region-local memory: no site needed
-	memHanded         // handed to this invocation by the region contract
-	memCheckout       // arena/box checkout: worker-local by checkout discipline
+	memShared   memKind = iota
+	memLocal            // region-local memory: no site needed
+	memHanded           // handed to this invocation by the region contract
+	memCheckout         // arena/box checkout: worker-local by checkout discipline
 )
 
 // memClass decides whose memory a write through obj's access path
@@ -1020,7 +974,7 @@ func (rc *regionCheck) freshExpr(e ast.Expr, depth int) freshKind {
 		if v.Name == "nil" {
 			return freshLocal
 		}
-		return rc.freshness(rc.objOf(v), depth+1)
+		return rc.freshness(rc.tp.objOf(v), depth+1)
 	case *ast.CompositeLit:
 		return freshLocal
 	case *ast.UnaryExpr:
@@ -1066,7 +1020,7 @@ func (rc *regionCheck) classifyWrite(lhs ast.Expr) {
 		rc.refuse(lhs, target, "write through unmodeled expression %s", target)
 		return
 	}
-	obj := rc.objOf(base)
+	obj := rc.tp.objOf(base)
 	switch rc.memClass(obj, steps) {
 	case memLocal:
 		return
@@ -1143,7 +1097,7 @@ func (rc *regionCheck) isMapIndex(base *ast.Ident, steps []targetStep, at target
 }
 
 func (rc *regionCheck) baseTypeAt(base *ast.Ident, steps []targetStep, at targetStep) types.Type {
-	obj := rc.objOf(base)
+	obj := rc.tp.objOf(base)
 	if obj == nil {
 		return nil
 	}
@@ -1217,13 +1171,6 @@ func (rc *regionCheck) refuse(at ast.Node, target, format string, args ...any) {
 		Reason: fmt.Sprintf(format, args...),
 		Marker: rc.rp.a.markerFor(rc.f, at),
 	})
-}
-
-func (rc *regionCheck) objOf(id *ast.Ident) types.Object {
-	if o := rc.tp.info.Uses[id]; o != nil {
-		return o
-	}
-	return rc.tp.info.Defs[id]
 }
 
 // ---------------------------------------------------------------------

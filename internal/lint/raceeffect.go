@@ -49,10 +49,6 @@ type writeEffect struct {
 	atomicAll bool
 }
 
-// recvIdx is the pseudo-position of a method receiver in the written-
-// parameter sets.
-const recvIdx = -1
-
 // writesPlain reports whether the callee performs plain writes through
 // the parameter at position idx.
 func (e *writeEffect) writesPlain(idx int) bool {
@@ -75,36 +71,15 @@ func (e *writeEffect) writesThrough(idx int) bool {
 	return e.writesPlain(idx) || e.writesAtomic(idx)
 }
 
-// effDecl locates a function's declaration with its type context.
-type effDecl struct {
-	tp *typedPkg
-	f  *fileInfo
-	fd *ast.FuncDecl
-}
-
 // effectOf returns fn's memoized write effect. Recursive cycles
 // resolve optimistically (the first activation summarizes the rest of
 // the body; a cycle participant's own frame contributes nothing extra).
 func (rp *racePass) effectOf(fn *types.Func) *writeEffect {
-	if eff, done := rp.effects[fn]; done {
-		return eff
-	}
-	if rp.inEff == nil {
-		rp.inEff = map[*types.Func]bool{}
-	}
-	if rp.inEff[fn] {
-		return &writeEffect{}
-	}
-	rp.inEff[fn] = true
-	defer delete(rp.inEff, fn)
-
-	eff := rp.computeEffect(fn)
-	rp.effects[fn] = eff
-	return eff
+	return rp.effects.get(fn, &writeEffect{}, func() *writeEffect { return rp.computeEffect(fn) })
 }
 
 func (rp *racePass) computeEffect(fn *types.Func) *writeEffect {
-	d := rp.declOf(fn)
+	d := rp.loader.declOf(fn)
 	if d == nil || d.fd.Body == nil {
 		// In-module but undeclared (assembly stub, build-tagged out):
 		// refuse rather than guess.
@@ -113,72 +88,12 @@ func (rp *racePass) computeEffect(fn *types.Func) *writeEffect {
 	w := &effWalk{
 		rp: rp, tp: d.tp, f: d.f, fd: d.fd,
 		eff:    &writeEffect{},
-		params: map[types.Object]int{},
+		params: d.tp.paramIndex(d.fd.Recv, d.fd.Type.Params),
 		defs:   map[types.Object]*effFact{},
-	}
-	if d.fd.Recv != nil {
-		for _, fld := range d.fd.Recv.List {
-			for _, nm := range fld.Names {
-				if obj := d.tp.info.Defs[nm]; obj != nil {
-					w.params[obj] = recvIdx
-				}
-			}
-		}
-	}
-	if d.fd.Type.Params != nil {
-		idx := 0
-		for _, fld := range d.fd.Type.Params.List {
-			if len(fld.Names) == 0 {
-				idx++ // unnamed parameter still occupies a position
-				continue
-			}
-			for _, nm := range fld.Names {
-				if obj := d.tp.info.Defs[nm]; obj != nil {
-					w.params[obj] = idx
-				}
-				idx++
-			}
-		}
 	}
 	w.collect()
 	ast.Inspect(d.fd.Body, w.visit)
 	return w.eff
-}
-
-// declOf finds the FuncDecl for an in-module *types.Func, indexing each
-// package's declarations on first use.
-func (rp *racePass) declOf(fn *types.Func) *effDecl {
-	if rp.declIdx == nil {
-		rp.declIdx = map[*types.Func]*effDecl{}
-		rp.idxDone = map[string]bool{}
-	}
-	if d, ok := rp.declIdx[fn]; ok {
-		return d
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	rel, ok := rp.a.modRel(fn.Pkg().Path())
-	if !ok {
-		return nil
-	}
-	if !rp.idxDone[rel] {
-		rp.idxDone[rel] = true
-		if tp := rp.loader.check(rel); tp != nil {
-			for _, f := range tp.pkg.files {
-				for _, decl := range f.ast.Decls {
-					fd, isFn := decl.(*ast.FuncDecl)
-					if !isFn {
-						continue
-					}
-					if tf, isTF := tp.info.Defs[fd.Name].(*types.Func); isTF {
-						rp.declIdx[tf] = &effDecl{tp: tp, f: f, fd: fd}
-					}
-				}
-			}
-		}
-	}
-	return rp.declIdx[fn]
 }
 
 // ---------------------------------------------------------------------
@@ -236,7 +151,7 @@ func (w *effWalk) collect() {
 					if !ok {
 						continue
 					}
-					obj := w.objOf(id)
+					obj := w.tp.objOf(id)
 					if obj == nil {
 						continue
 					}
@@ -252,7 +167,7 @@ func (w *effWalk) collect() {
 			// Tuple call/assertion results: not modeled.
 			for _, lhs := range v.Lhs {
 				if id, ok := unparen(lhs).(*ast.Ident); ok {
-					if obj := w.objOf(id); obj != nil {
+					if obj := w.tp.objOf(id); obj != nil {
 						fact(obj).unknown = true
 					}
 				}
@@ -275,7 +190,7 @@ func (w *effWalk) collect() {
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{v.Key, v.Value} {
 				if id, ok := e.(*ast.Ident); ok {
-					if obj := w.objOf(id); obj != nil {
+					if obj := w.tp.objOf(id); obj != nil {
 						// The value variable may alias elements of the
 						// ranged expression; root both through it.
 						fact(obj).srcs = append(fact(obj).srcs, v.X)
@@ -324,13 +239,6 @@ func selfDerived(tp *typedPkg, rhs ast.Expr, obj types.Object) bool {
 	return false
 }
 
-func (w *effWalk) objOf(id *ast.Ident) types.Object {
-	if o := w.tp.info.Uses[id]; o != nil {
-		return o
-	}
-	return w.tp.info.Defs[id]
-}
-
 // visit is the single-pass effect walk. Statement order is approximate
 // (ast.Inspect order is source order within a function), which is
 // enough for the straight-line Lock/Unlock discipline this module uses.
@@ -371,7 +279,7 @@ func (w *effWalk) write(lhs ast.Expr) {
 	if len(steps) == 0 {
 		return // writing a variable itself: callee-frame storage
 	}
-	obj := w.objOf(base)
+	obj := w.tp.objOf(base)
 	if obj == nil {
 		w.sharedAt(lhs, "writes through unresolved "+types.ExprString(lhs))
 		return
@@ -523,7 +431,7 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 		if v.Name == "nil" {
 			return effLocal
 		}
-		return w.rootOf(w.objOf(v), depth, ps)
+		return w.rootOf(w.tp.objOf(v), depth, ps)
 	case *ast.SelectorExpr:
 		return w.aliasRoot(v.X, depth+1, ps)
 	case *ast.IndexExpr:
@@ -556,7 +464,7 @@ func (w *effWalk) aliasRoot(e ast.Expr, depth int, ps map[int]bool) effKind {
 		if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
 			isQualifier := false
 			if id, isID := unparen(sel.X).(*ast.Ident); isID {
-				_, isQualifier = w.objOf(id).(*types.PkgName)
+				_, isQualifier = w.tp.objOf(id).(*types.PkgName)
 			}
 			if !isQualifier {
 				if k := w.aliasRoot(sel.X, depth+1, ps); k > kind {
@@ -649,13 +557,7 @@ func (w *effWalk) call(call *ast.CallExpr) bool {
 		}
 	}
 
-	fn, delegated := calleeOfTyped(w.tp, call)
-	var boundRecv ast.Expr
-	if fn == nil {
-		if bf, recv := w.boundCallee(call.Fun); bf != nil {
-			fn, delegated, boundRecv = bf, false, recv
-		}
-	}
+	fn, boundRecv, delegated := w.tp.calleeOf(call, w.boundCallee)
 	if delegated || fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -726,31 +628,20 @@ func (w *effWalk) claimRegionLits(call *ast.CallExpr) {
 	}
 	for ai, arg := range call.Args {
 		lit, ok := unparen(arg).(*ast.FuncLit)
-		if !ok || lit.Type.Params == nil {
+		if !ok {
 			continue
 		}
-		idx := 0
-		for _, fld := range lit.Type.Params.List {
-			if len(fld.Names) == 0 {
-				idx++
-				continue
-			}
-			for _, nm := range fld.Names {
-				obj := w.tp.info.Defs[nm]
-				if obj != nil {
-					if back, isHanded := handedIdx[idx]; isHanded && ai == primary {
-						if w.litHanded == nil {
-							w.litHanded = map[types.Object]ast.Expr{}
-						}
-						w.litHanded[obj] = back
-					} else if perInvocationParam(obj.Type()) {
-						if w.litLocal == nil {
-							w.litLocal = map[types.Object]bool{}
-						}
-						w.litLocal[obj] = true
-					}
+		for obj, idx := range w.tp.paramIndex(nil, lit.Type.Params) {
+			if back, isHanded := handedIdx[idx]; isHanded && ai == primary {
+				if w.litHanded == nil {
+					w.litHanded = map[types.Object]ast.Expr{}
 				}
-				idx++
+				w.litHanded[obj] = back
+			} else if perInvocationParam(obj.Type()) {
+				if w.litLocal == nil {
+					w.litLocal = map[types.Object]bool{}
+				}
+				w.litLocal[obj] = true
 			}
 		}
 	}
@@ -766,108 +657,22 @@ func perInvocationParam(t types.Type) bool {
 	return isWorkerNamed(t)
 }
 
-// boundCallee resolves a call through a func-typed local that was
-// bound exactly once to a method value or named function. A method
-// value carries its receiver invisibly — f := c.bump; f() writes
-// through c with no receiver in the call syntax — so the resolved
-// binding returns the receiver expression for the caller to classify
-// as by-reference memory. Func-typed parameters stay delegated: their
-// bindings belong to callers the walk cannot see.
-func (w *effWalk) boundCallee(fun ast.Expr) (*types.Func, ast.Expr) {
-	id, ok := unparen(fun).(*ast.Ident)
-	if !ok {
+// boundCallee resolves a func-typed local that was bound exactly once
+// to a method value or named function. A method value carries its
+// receiver invisibly — f := c.bump; f() writes through c with no
+// receiver in the call syntax — so the resolved binding returns the
+// receiver expression for the caller to classify as by-reference
+// memory. Func-typed parameters stay delegated: their bindings belong
+// to callers the walk cannot see.
+func (w *effWalk) boundCallee(v *types.Var) (*types.Func, ast.Expr) {
+	if _, isParam := w.params[v]; isParam {
 		return nil, nil
 	}
-	obj := w.objOf(id)
-	if _, isParam := w.params[obj]; obj == nil || isParam {
-		return nil, nil
-	}
-	fx := w.defs[obj]
+	fx := w.defs[v]
 	if fx == nil || fx.unknown || len(fx.srcs) != 1 {
 		return nil, nil
 	}
 	return methodValueBinding(w.tp, fx.srcs[0])
-}
-
-// methodValueBinding resolves the expression a func-typed local was
-// bound to: a concrete method value (returning the method and its
-// bound receiver expression) or a named function. Anything else —
-// literals, interface method values, call results — stays unresolved.
-func methodValueBinding(tp *typedPkg, src ast.Expr) (fn *types.Func, recv ast.Expr) {
-	if src == nil {
-		return nil, nil
-	}
-	objOf := func(id *ast.Ident) types.Object {
-		if o := tp.info.Uses[id]; o != nil {
-			return o
-		}
-		return tp.info.Defs[id]
-	}
-	switch v := unparen(src).(type) {
-	case *ast.Ident:
-		if f, ok := objOf(v).(*types.Func); ok {
-			return f, nil
-		}
-	case *ast.SelectorExpr:
-		if selInfo, ok := tp.info.Selections[v]; ok {
-			if selInfo.Kind() == types.MethodVal && !types.IsInterface(selInfo.Recv()) {
-				if f, isF := selInfo.Obj().(*types.Func); isF {
-					return f, v.X
-				}
-			}
-			return nil, nil
-		}
-		if f, ok := objOf(v.Sel).(*types.Func); ok {
-			return f, nil // package-qualified function value
-		}
-	}
-	return nil, nil
-}
-
-// calleeOfTyped is calleeOf without a regionCheck: resolve a call to a
-// declared function or report delegation.
-func calleeOfTyped(tp *typedPkg, call *ast.CallExpr) (fn *types.Func, delegated bool) {
-	fun := unparen(call.Fun)
-	switch v := fun.(type) {
-	case *ast.IndexExpr:
-		fun = v.X
-	case *ast.IndexListExpr:
-		fun = v.X
-	}
-	objOf := func(id *ast.Ident) types.Object {
-		if o := tp.info.Uses[id]; o != nil {
-			return o
-		}
-		return tp.info.Defs[id]
-	}
-	switch v := unparen(fun).(type) {
-	case *ast.Ident:
-		switch obj := objOf(v).(type) {
-		case *types.Func:
-			return obj, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return nil, true
-			}
-		}
-	case *ast.SelectorExpr:
-		switch obj := objOf(v.Sel).(type) {
-		case *types.Func:
-			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if types.IsInterface(sig.Recv().Type()) {
-					return nil, true
-				}
-			}
-			return obj, false
-		case *types.Var:
-			if _, isSig := obj.Type().Underlying().(*types.Signature); isSig {
-				return nil, true
-			}
-		}
-	case *ast.FuncLit:
-		return nil, true
-	}
-	return nil, false
 }
 
 // ---------------------------------------------------------------------

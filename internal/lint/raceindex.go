@@ -113,7 +113,7 @@ func (rc *regionCheck) taskDetailUncached(obj types.Object) taskRes {
 		return taskRes{detail: "worker-owned", ok: true}
 	}
 	if id, ok := rc.unwrapConv(def).(*ast.Ident); ok {
-		if inner := rc.objOf(id); inner != nil && inner != obj {
+		if inner := rc.tp.objOf(id); inner != nil && inner != obj {
 			return rc.taskDetail(inner)
 		}
 	}
@@ -128,11 +128,11 @@ func (rc *regionCheck) isRangeOwnerLoop(lv *raceLoop) bool {
 		return false
 	}
 	loID, ok := rc.unwrapConv(lv.lo).(*ast.Ident)
-	if !ok || rc.objOf(loID) != rc.r.rangeLo {
+	if !ok || rc.tp.objOf(loID) != rc.r.rangeLo {
 		return false
 	}
 	hiID, ok := rc.unwrapConv(lv.hi).(*ast.Ident)
-	return ok && rc.objOf(hiID) == rc.r.rangeHi
+	return ok && rc.tp.objOf(hiID) == rc.r.rangeHi
 }
 
 // isBlockOwnerLoop: the loop runs over [t*B, t*B+B) — possibly capped
@@ -176,7 +176,7 @@ func (rc *regionCheck) isBlockOwnerLoop(lv *raceLoop) bool {
 					continue
 				}
 				for _, tm := range pT {
-					if tm.coef == 1 && tm.obj != nil && tm.obj == rc.objOf(t) {
+					if tm.coef == 1 && tm.obj != nil && tm.obj == rc.tp.objOf(t) {
 						return true
 					}
 				}
@@ -225,7 +225,7 @@ func (rc *regionCheck) matchProduct(e ast.Expr) (*ast.Ident, ast.Expr) {
 		if !ok {
 			continue
 		}
-		if obj := rc.objOf(id); obj != nil && rc.taskDetail(obj).ok {
+		if obj := rc.tp.objOf(id); obj != nil && rc.taskDetail(obj).ok {
 			return id, ord[1]
 		}
 	}
@@ -260,7 +260,7 @@ func (rc *regionCheck) matchResidue(idx ast.Expr) string {
 		if !ok {
 			continue
 		}
-		obj := rc.objOf(tID)
+		obj := rc.tp.objOf(tID)
 		if obj == nil {
 			continue
 		}
@@ -290,7 +290,7 @@ func (rc *regionCheck) matchBlockScaled(idx ast.Expr) string {
 		if !ok {
 			continue
 		}
-		jObj := rc.objOf(jID)
+		jObj := rc.tp.objOf(jID)
 		if jObj == nil {
 			continue
 		}
@@ -307,7 +307,7 @@ func (rc *regionCheck) matchBlockScaled(idx ast.Expr) string {
 			if !ok {
 				continue
 			}
-			tObj := rc.objOf(tID)
+			tObj := rc.tp.objOf(tID)
 			if tObj == nil || !rc.taskDetail(tObj).ok {
 				continue
 			}
@@ -360,7 +360,7 @@ func (rc *regionCheck) matchUniqueHandout(e ast.Expr) bool {
 			return false
 		}
 	}
-	obj := rc.objOf(base)
+	obj := rc.tp.objOf(base)
 	return obj != nil && rc.memClass(obj, steps) == memShared
 }
 
@@ -380,7 +380,7 @@ func (rc *regionCheck) matchWorkerID(e ast.Expr) bool {
 	if !ok || rc.r.worker == nil {
 		return false
 	}
-	return rc.objOf(id) == rc.r.worker
+	return rc.tp.objOf(id) == rc.r.worker
 }
 
 // ---------------------------------------------------------------------
@@ -423,7 +423,7 @@ func (rc *regionCheck) affineInto(e ast.Expr, scale int64, terms map[string]*aff
 	}
 	switch v := e.(type) {
 	case *ast.Ident:
-		obj := rc.objOf(v)
+		obj := rc.tp.objOf(v)
 		if obj == nil {
 			return false
 		}
@@ -544,7 +544,7 @@ func (rc *regionCheck) foldIdent(e ast.Expr, allowShrink bool) ast.Expr {
 		if !ok {
 			return e
 		}
-		obj := rc.objOf(id)
+		obj := rc.tp.objOf(id)
 		if obj == nil || !rc.locals[obj] {
 			return e
 		}

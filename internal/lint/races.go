@@ -124,7 +124,7 @@ func Races(cfg Config) (*RaceReport, error) {
 // races runs the pass over an already-built analysis.
 func (a *analysis) races() *RaceReport {
 	loader := newTypeLoader(a)
-	rp := &racePass{a: a, loader: loader, effects: map[*types.Func]*writeEffect{}}
+	rp := &racePass{a: a, loader: loader}
 	rep := &RaceReport{Version: 1, Module: a.mod}
 
 	for _, pkg := range a.sortedPkgs() {
@@ -240,10 +240,7 @@ func LoadRaces(path string) (*RaceReport, error) {
 type racePass struct {
 	a       *analysis
 	loader  *typeLoader
-	effects map[*types.Func]*writeEffect
-	inEff   map[*types.Func]bool
-	declIdx map[*types.Func]*effDecl
-	idxDone map[string]bool
+	effects memo[*types.Func, *writeEffect]
 }
 
 // ---------------------------------------------------------------------
@@ -296,15 +293,15 @@ var mqRegionFuncs = map[string]bool{"Process": true, "ProcessOpt": true, "Proces
 
 // raceRegion is one lexical parallel region.
 type raceRegion struct {
-	kind    string          // display: creating construct
-	at      token.Pos       // position the region is created at
-	body    *ast.BlockStmt  // region body
+	kind    string                  // display: creating construct
+	at      token.Pos               // position the region is created at
+	body    *ast.BlockStmt          // region body
 	task    map[types.Object]string // unique-per-task params -> subrule seed
 	handed  map[types.Object]bool   // params handing exclusively owned memory
-	rangeLo types.Object    // handed subrange bounds (Worker.For, RunRange)
+	rangeLo types.Object            // handed subrange bounds (Worker.For, RunRange)
 	rangeHi types.Object
-	worker  types.Object // the invocation's *Worker param
-	extent  ast.Expr     // task-index space size when the range starts at 0
+	worker  types.Object   // the invocation's *Worker param
+	extent  ast.Expr       // task-index space size when the range starts at 0
 	sibling *ast.BlockStmt // Join: the other branch
 
 	claimed map[*ast.FuncLit]bool // nested region bodies, skipped by this region's walk

@@ -712,7 +712,7 @@ func (lw *lifeWalk) call(call *ast.CallExpr) *valDesc {
 		}
 	}
 
-	fn, delegated := calleeOfTyped(lw.tp, call)
+	fn, _, delegated := lw.tp.calleeOf(call, nil)
 
 	// Walk closure arguments at the call (first reference), under the
 	// region the call creates if this argument is its body.
@@ -888,7 +888,7 @@ func (lw *lifeWalk) resolveLitArg(arg ast.Expr) *ast.FuncLit {
 // parameter index (receiver = -1, variadic tail clamped).
 func paramIndexOf(call *ast.CallExpr, sig *types.Signature, arg ast.Expr) int {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && sel.X == arg {
-		return escRecv
+		return recvIdx
 	}
 	for i, a := range call.Args {
 		if a == arg {
@@ -898,7 +898,7 @@ func paramIndexOf(call *ast.CallExpr, sig *types.Signature, arg ast.Expr) int {
 			return i
 		}
 	}
-	return escRecv
+	return recvIdx
 }
 
 // arenaCall handles the arena package-level API.

@@ -66,29 +66,6 @@ func refusedSummary(format string, args ...any) *fnSummary {
 	return &fnSummary{reason: fmt.Sprintf(format, args...)}
 }
 
-// calleeFunc resolves a call expression to the *types.Func it invokes:
-// plain calls, pkg-qualified calls, method calls, and explicit generic
-// instantiations (the ident under f[T](...) resolves to the generic
-// declaration object).
-func (p *prover) calleeFunc(call *ast.CallExpr) *types.Func {
-	fun := unparen(call.Fun)
-	switch v := fun.(type) {
-	case *ast.IndexExpr:
-		fun = unparen(v.X)
-	case *ast.IndexListExpr:
-		fun = unparen(v.X)
-	}
-	switch v := fun.(type) {
-	case *ast.Ident:
-		fn, _ := p.objOf(v).(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.objOf(v.Sel).(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // proveViaSummary handles the interprocedural dispatch arm of proveVar:
 // the offsets variable is defined as (one result of) an in-module call
 // and never mutated afterwards. handled=false means the callee is not
@@ -98,7 +75,7 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 	if p.loader == nil {
 		return siteProof{}, false
 	}
-	fn := p.calleeFunc(call)
+	fn, _, _ := p.tp.calleeOf(call, nil)
 	if fn == nil || fn.Pkg() == nil {
 		return siteProof{}, false
 	}
@@ -148,7 +125,7 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		if !isID {
 			return refusal("the slice whose length bounds %s's output (argument %d) is not a simple variable at the call", sum.fnName, sum.bound.k+1), true
 		}
-		argObj := p.objOf(argID)
+		argObj := p.tp.objOf(argID)
 		if argObj == nil || !p.stableObj(argObj) {
 			return refusal("the slice whose length bounds %s's output (argument %d) does not have a stable header", sum.fnName, sum.bound.k+1), true
 		}
@@ -168,7 +145,7 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 		if !isID {
 			return refusal("%s's bounding total (result %d) is not bound to a simple variable", sum.fnName, sum.bound.k+1), true
 		}
-		sibObj := p.objOf(sibID)
+		sibObj := p.tp.objOf(sibID)
 		if sibObj == nil || !p.stableObj(sibObj) {
 			return refusal("%s's bounding total %q is not a stable variable", sum.fnName, sibID.Name), true
 		}
@@ -197,18 +174,9 @@ func (p *prover) proveViaSummary(pt *provePoint, name string, def *use, call *as
 // the given pattern. nil means fn is not summarizable territory at all;
 // a non-ok summary carries the refusal reason.
 func (l *typeLoader) summaryFor(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
-	key := sumKey{fn: fn, res: res, pattern: pattern}
-	if s, done := l.sums[key]; done {
-		return s
-	}
-	if l.sumInflight[key] {
-		return refusedSummary("helper %s is recursive; summaries do not cross back edges", fn.Name())
-	}
-	l.sumInflight[key] = true
-	defer delete(l.sumInflight, key)
-	s := l.buildSummary(fn, res, pattern, property)
-	l.sums[key] = s
-	return s
+	return l.sums.get(sumKey{fn: fn, res: res, pattern: pattern},
+		refusedSummary("helper %s is recursive; summaries do not cross back edges", fn.Name()),
+		func() *fnSummary { return l.buildSummary(fn, res, pattern, property) })
 }
 
 func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern, property string) *fnSummary {
@@ -238,31 +206,15 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 		return s
 	}
 
-	// Locate the declaration and its file.
-	var fd *ast.FuncDecl
-	var file *fileInfo
-	for _, f := range tp.pkg.files {
-		for _, decl := range f.ast.Decls {
-			d, ok := decl.(*ast.FuncDecl)
-			if !ok || d.Body == nil {
-				continue
-			}
-			if tp.info.Defs[d.Name] == fn {
-				fd, file = d, f
-				break
-			}
-		}
-		if fd != nil {
-			break
-		}
-	}
-	if fd == nil {
+	d := l.declOf(fn)
+	if d == nil || d.fd.Body == nil {
 		s.reason = fmt.Sprintf("helper %s's declaration was not found in the module", s.fnName)
 		return s
 	}
+	fd := d.fd
 	s.declLine = l.a.fset.Position(fd.Name.Pos()).Line
 
-	sp := newProver(l.a, tp, file, fd, l)
+	sp := newProver(l.a, tp, d.f, fd, l)
 
 	// Exactly one return statement, in straight-line context, with the
 	// full result list spelled out.
@@ -305,7 +257,7 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 	}
 
 	// Express the captured bound against the helper's signature.
-	paramIdx := paramIndexMap(tp, fd)
+	paramIdx := tp.paramIndex(nil, fd.Type.Params) // call arguments exclude the receiver
 	switch {
 	case cap.total != nil:
 		j := -1
@@ -313,7 +265,7 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 			if i == res {
 				continue
 			}
-			if id, ok := unparen(r).(*ast.Ident); ok && sp.objOf(id) == cap.total {
+			if id, ok := unparen(r).(*ast.Ident); ok && sp.tp.objOf(id) == cap.total {
 				j = i
 				break
 			}
@@ -341,29 +293,6 @@ func (l *typeLoader) buildSummary(fn *types.Func, res int, pattern core.Pattern,
 	return s
 }
 
-// paramIndexMap maps each parameter object of fd to its position
-// (receiver excluded — call arguments align with the parameter list).
-func paramIndexMap(tp *typedPkg, fd *ast.FuncDecl) map[types.Object]int {
-	idx := map[types.Object]int{}
-	if fd.Type.Params == nil {
-		return idx
-	}
-	k := 0
-	for _, field := range fd.Type.Params.List {
-		if len(field.Names) == 0 {
-			k++
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := tp.info.Defs[name]; obj != nil {
-				idx[obj] = k
-			}
-			k++
-		}
-	}
-	return idx
-}
-
 // boundToRef rewrites a captured bound denotation against the helper's
 // parameter list: a constant, a parameter identifier, len(parameter),
 // or — through makeLen — the allocation length of the returned local.
@@ -386,7 +315,7 @@ func (p *prover) boundToRef(bound lenDenot, paramIdx map[types.Object]int) (boun
 	}
 	e := p.canon(bound.expr)
 	if id, isID := e.(*ast.Ident); isID {
-		obj := p.objOf(id)
+		obj := p.tp.objOf(id)
 		if obj == nil || !p.stableObj(obj) {
 			return boundRef{}, false
 		}
@@ -398,7 +327,7 @@ func (p *prover) boundToRef(bound lenDenot, paramIdx map[types.Object]int) (boun
 	if call, isCall := e.(*ast.CallExpr); isCall && len(call.Args) == 1 {
 		if nm, isB := p.builtinName(call); isB && nm == "len" {
 			if id, isID := unparen(call.Args[0]).(*ast.Ident); isID {
-				obj := p.objOf(id)
+				obj := p.tp.objOf(id)
 				if obj != nil && p.stableObj(obj) {
 					if k, isParam := paramIdx[obj]; isParam {
 						return boundRef{kind: boundLenParam, k: k}, true

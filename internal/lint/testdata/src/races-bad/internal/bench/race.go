@@ -12,7 +12,3 @@ func raceKernel(w *core.Worker, out, src []uint32) {
 	})
 	_ = total
 }
-
-func init() {
-	core.DeclareSite("race", "copy write", core.Stride)
-}

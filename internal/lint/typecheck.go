@@ -29,33 +29,25 @@ type typedPkg struct {
 }
 
 // typeLoader memoizes type checking across packages of one analysis,
-// and the interprocedural function summaries built on top of it
-// (summary.go).
+// the declaration index over the checked packages, and the provenance
+// summaries built on top of them (summary.go, nnsummary.go).
 type typeLoader struct {
-	a        *analysis
-	std      types.Importer
-	checked  map[string]*typedPkg
-	inflight map[string]bool
-	stubs    map[string]*types.Package
+	a       *analysis
+	std     types.Importer
+	checked memo[string, *typedPkg]
+	stubs   map[string]*types.Package
+	decls   map[*types.Func]*fnDecl
 
-	sums        map[sumKey]*fnSummary
-	sumInflight map[sumKey]bool
-
-	nnSums     map[*types.Func]bool
-	nnInflight map[*types.Func]bool
+	sums   memo[sumKey, *fnSummary]
+	nnSums memo[*types.Func, bool]
 }
 
 func newTypeLoader(a *analysis) *typeLoader {
 	return &typeLoader{
-		a:           a,
-		std:         importer.ForCompiler(a.fset, "source", nil),
-		checked:     map[string]*typedPkg{},
-		inflight:    map[string]bool{},
-		stubs:       map[string]*types.Package{},
-		sums:        map[sumKey]*fnSummary{},
-		sumInflight: map[sumKey]bool{},
-		nnSums:      map[*types.Func]bool{},
-		nnInflight:  map[*types.Func]bool{},
+		a:     a,
+		std:   importer.ForCompiler(a.fset, "source", nil),
+		stubs: map[string]*types.Package{},
+		decls: map[*types.Func]*fnDecl{},
 	}
 }
 
@@ -91,43 +83,46 @@ func (l *typeLoader) stub(path string) *types.Package {
 }
 
 // check type-checks one in-module package (memoized; nil for unknown
-// directories and import cycles).
+// directories and import cycles) and indexes its declarations.
 func (l *typeLoader) check(rel string) *typedPkg {
-	if tp, done := l.checked[rel]; done {
+	return l.checked.get(rel, nil, func() *typedPkg {
+		pkg := l.a.pkgs[rel]
+		if pkg == nil || len(pkg.files) == 0 {
+			return nil
+		}
+		tp := &typedPkg{
+			pkg: pkg,
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+				Instances:  map[*ast.Ident]types.Instance{},
+			},
+		}
+		conf := types.Config{
+			Importer:    l,
+			FakeImportC: true,
+			Error:       func(err error) { tp.errs = append(tp.errs, err) },
+		}
+		var files []*ast.File
+		for _, f := range pkg.files {
+			files = append(files, f.ast)
+		}
+		importPath := l.a.mod
+		if rel != "" {
+			importPath = l.a.mod + "/" + rel
+		}
+		tp.tpkg, _ = conf.Check(importPath, l.a.fset, files, tp.info)
+		for _, f := range pkg.files {
+			for _, decl := range f.ast.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					if fn, ok := tp.info.Defs[fd.Name].(*types.Func); ok {
+						l.decls[fn] = &fnDecl{tp: tp, f: f, fd: fd}
+					}
+				}
+			}
+		}
 		return tp
-	}
-	pkg := l.a.pkgs[rel]
-	if pkg == nil || len(pkg.files) == 0 || l.inflight[rel] {
-		l.checked[rel] = nil
-		return nil
-	}
-	l.inflight[rel] = true
-	defer func() { l.inflight[rel] = false }()
-
-	tp := &typedPkg{
-		pkg: pkg,
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Instances:  map[*ast.Ident]types.Instance{},
-		},
-	}
-	conf := types.Config{
-		Importer:    l,
-		FakeImportC: true,
-		Error:       func(err error) { tp.errs = append(tp.errs, err) },
-	}
-	var files []*ast.File
-	for _, f := range pkg.files {
-		files = append(files, f.ast)
-	}
-	importPath := l.a.mod
-	if rel != "" {
-		importPath = l.a.mod + "/" + rel
-	}
-	tp.tpkg, _ = conf.Check(importPath, l.a.fset, files, tp.info)
-	l.checked[rel] = tp
-	return tp
+	})
 }
